@@ -64,12 +64,17 @@ TierCounters tier_counters(std::size_t platoons) {
 struct Tier {
     std::size_t platoons;
     std::size_t seeds;
+    const char* timer;  ///< Literal: obs::ScopedTimer keeps the pointer.
 };
 
 // Replication counts taper with size: the small tiers are cheap enough to
 // average (and give the PLATOON_JOBS identity check real parallelism); the
 // 1024-vehicle tier runs one seed against the wall clock.
-constexpr Tier kTiers[] = {{1, 4}, {4, 2}, {16, 1}, {64, 1}};
+constexpr Tier kTiers[] = {{1, 4, "bench_scale.tier1"},
+                           {4, 2, "bench_scale.tier4"},
+                           {16, 1, "bench_scale.tier16"},
+                           {64, 1, "bench_scale.tier64"}};
+constexpr Tier kJammedTier = {64, 1, "bench_scale.tier64_jammed"};
 constexpr double kDuration = 30.0;  ///< Covers every corridor event (<=20 s).
 
 /// Truncates the 64-platoon corridor description to `platoons` platoons:
@@ -140,10 +145,6 @@ ScaleResult run_tier(const ps::CompiledCell& cell, const Tier& tier) {
     return result;
 }
 
-std::string tier_timer_name(std::size_t platoons) {
-    return "bench_scale.tier" + std::to_string(platoons);
-}
-
 void run_and_print() {
     const auto compiled = pb::load_scenario("scale_corridor");
     // Cell order per the description's axes: attacked [false, true].
@@ -162,8 +163,7 @@ void run_and_print() {
         const auto wall_start = std::chrono::steady_clock::now();
         ScaleResult result;
         {
-            const platoon::obs::ScopedTimer timer(
-                tier_timer_name(tier.platoons).c_str());
+            const platoon::obs::ScopedTimer timer(tier.timer);
             result = run_tier(clean, tier);
         }
         const double wall_s =
@@ -207,8 +207,8 @@ void run_and_print() {
     pc::Table jam_table(
         {"cell", "events", "messages", "delivered", "pdr", "cacc_avail"});
     {
-        const platoon::obs::ScopedTimer timer("bench_scale.tier64_jammed");
-        const ScaleResult result = run_tier(jammed, Tier{64, 1});
+        const platoon::obs::ScopedTimer timer(kJammedTier.timer);
+        const ScaleResult result = run_tier(jammed, kJammedTier);
         jam_table.add_row(
             {"64 platoons + jamming", pc::Table::num(result.events, 0),
              pc::Table::num(result.messages, 0),

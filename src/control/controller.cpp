@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "sim/assert.hpp"
+#include "base/assert.hpp"
 
 namespace platoon::control {
 

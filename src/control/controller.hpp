@@ -18,7 +18,7 @@
 #include <optional>
 #include <string>
 
-#include "sim/types.hpp"
+#include "base/types.hpp"
 
 namespace platoon::control {
 

@@ -1,6 +1,6 @@
 #include "control/fallback.hpp"
 
-#include "sim/assert.hpp"
+#include "base/assert.hpp"
 
 namespace platoon::control {
 

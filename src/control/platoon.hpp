@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "net/message.hpp"
-#include "sim/types.hpp"
+#include "base/types.hpp"
 
 namespace platoon::control {
 

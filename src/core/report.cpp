@@ -4,7 +4,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "sim/assert.hpp"
+#include "base/assert.hpp"
 
 namespace platoon::core {
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "crypto/fading_key_agreement.hpp"
-#include "sim/assert.hpp"
+#include "base/assert.hpp"
 #include "sim/logging.hpp"
 
 namespace platoon::core {
@@ -24,19 +24,10 @@ Scenario::Scenario(ScenarioConfig config)
 
     // Shared verification fast path: one fact cache for every receiver in
     // this scenario (per-scenario state keeps parallel seed sweeps
-    // bit-identical), plus a network-level prewarm hook that batch-verifies
-    // signed fan-outs into it before delivery.
-    if (config_.share_verify_verdicts) {
+    // bit-identical). The first receiver of a fan-out computes each fact;
+    // the others hit it.
+    if (config_.share_verify_verdicts)
         verdict_cache_ = std::make_unique<crypto::VerdictCache>();
-        network_->set_verify_prewarm(
-            [cache = verdict_cache_.get(),
-             ca_pub = authority_->public_key()](
-                const crypto::Envelope& envelope, sim::RandomStream& rng) {
-                crypto::prewarm_signature_verdicts(
-                    envelope, crypto::BytesView(ca_pub), *cache,
-                    [&rng] { return rng.bits(); });
-            });
-    }
 
     // Group key (generated lazily but deterministically).
     if (config_.security.auth_mode == crypto::AuthMode::kGroupMac ||

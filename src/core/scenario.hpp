@@ -80,10 +80,10 @@ struct ScenarioConfig {
     bool rsus_require_signatures = false;
     /// Share receiver-independent verification facts (signature / cert /
     /// group-MAC validity) across all receivers through one bounded
-    /// deterministic VerdictCache, and batch-verify signed fan-outs before
-    /// delivery. Affects cost and the crypto.verify.* counter split only --
-    /// verdicts are bit-identical either way (the differential fast-path
-    /// suite pins this). Off = every receiver verifies independently.
+    /// deterministic VerdictCache. Affects cost and the crypto.verify.*
+    /// counter split only -- verdicts are bit-identical either way (the
+    /// differential fast-path suite pins this). Off = every receiver
+    /// verifies independently.
     bool share_verify_verdicts = true;
     sim::SimTime control_period_s = 0.01;
     sim::SimTime beacon_period_s = 0.1;

@@ -6,7 +6,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "sim/assert.hpp"
+#include "base/assert.hpp"
 #include "sim/logging.hpp"
 
 namespace platoon::core {

@@ -1,11 +1,9 @@
 #include "crypto/eddsa.hpp"
 
 #include <algorithm>
-#include <utility>
 
 #include "crypto/sha256.hpp"
 #include "base/assert.hpp"
-#include "obs/counters.hpp"
 
 namespace platoon::crypto {
 
@@ -351,29 +349,6 @@ Point scalar_mul_windowed(const U256& k, const Point& p) {
     return acc;
 }
 
-Point multi_scalar_mul(const std::vector<std::pair<U256, Point>>& terms) {
-    // Straus interleaving: per-term window tables, one shared doubling chain.
-    std::vector<WindowTable> tables;
-    tables.reserve(terms.size());
-    int top = -1;
-    for (const auto& [k, p] : terms) {
-        tables.push_back(window_table(p));
-        top = std::max(top, k.top_bit());
-    }
-    if (top < 0) return Point::identity();
-    const int top_window = top / 4;
-    Point acc = Point::identity();
-    for (int w = top_window; w >= 0; --w) {
-        if (w != top_window)
-            for (int d = 0; d < 4; ++d) acc = point_double(acc);
-        for (std::size_t i = 0; i < terms.size(); ++i) {
-            const unsigned digit = terms[i].first.window4(w);
-            if (digit != 0) acc = point_add(acc, tables[i][digit - 1]);
-        }
-    }
-    return acc;
-}
-
 bool point_equal(const Point& p, const Point& q) {
     // x1/z1 == x2/z2  <=>  x1 z2 == x2 z1 ; same for y.
     return fe_equal(fe_mul(p.x, q.z), fe_mul(q.x, p.z)) &&
@@ -477,44 +452,21 @@ Signature sign(const KeyPair& key, BytesView msg) {
     return sig;
 }
 
-namespace {
-
-/// Signature components after structural validation.
-struct ParsedSig {
-    Point big_r;
-    Point pub;
-    U256 s;  ///< < L
-    U256 e;  ///< challenge hash, < L
-};
-
-std::optional<ParsedSig> parse_signature(BytesView public_key_bytes,
-                                         BytesView msg, const Signature& sig) {
-    if (sig.bytes.size() != 96) return std::nullopt;
+bool verify(BytesView public_key_bytes, BytesView msg, const Signature& sig) {
+    if (sig.bytes.size() != 96) return false;
     const BytesView sig_view(sig.bytes);
     const auto big_r = point_from_bytes(sig_view.subspan(0, 64));
-    if (!big_r) return std::nullopt;
+    if (!big_r) return false;
     const U256 s = U256::from_le_bytes(sig_view.subspan(64, 32));
-    if (cmp(s, group_order()) != std::strong_ordering::less)
-        return std::nullopt;
+    if (cmp(s, group_order()) != std::strong_ordering::less) return false;
     const auto pub = point_from_bytes(public_key_bytes);
-    if (!pub) return std::nullopt;
+    if (!pub) return false;
     const U256 e =
         hash_to_scalar({sig_view.subspan(0, 64), public_key_bytes, msg});
-    return ParsedSig{*big_r, *pub, s, e};
-}
-
-/// sB == R + eP, evaluated as sB + e(-P) == R on the windowed paths.
-bool verify_parsed(const ParsedSig& p) {
-    const Point lhs = point_add(scalar_mul_base(p.s),
-                                scalar_mul_windowed(p.e, point_neg(p.pub)));
-    return point_equal(lhs, p.big_r);
-}
-
-}  // namespace
-
-bool verify(BytesView public_key_bytes, BytesView msg, const Signature& sig) {
-    const auto parsed = parse_signature(public_key_bytes, msg, sig);
-    return parsed.has_value() && verify_parsed(*parsed);
+    // sB == R + eP, evaluated as sB + e(-P) == R on the windowed paths.
+    const Point lhs = point_add(scalar_mul_base(s),
+                                scalar_mul_windowed(e, point_neg(*pub)));
+    return point_equal(lhs, *big_r);
 }
 
 Bytes dh_shared_key(const U256& my_secret, BytesView their_public_bytes) {
@@ -527,102 +479,6 @@ Bytes dh_shared_key(const U256& my_secret, BytesView their_public_bytes) {
     h.update(BytesView(sb));
     const auto d = h.finish();
     return Bytes(d.begin(), d.end());
-}
-
-namespace {
-
-/// Signatures settled by a multi-item random-linear-combination equation
-/// (one increment per signature in an accepted batch of size >= 2).
-obs::Counter g_batch_verified{"crypto.verify.batched"};
-
-/// Odd 128-bit coefficient. Odd and < L, so z*T == identity has no nonzero
-/// solution T on the curve (T would need odd order dividing z, and the only
-/// odd orders are 1 and L > 2^128): a batch with exactly one bad item can
-/// never falsely accept.
-U256 draw_coefficient(const ScalarBits& bits) {
-    U256 z;
-    z.w[0] = bits() | 1u;
-    z.w[1] = bits();
-    return z;
-}
-
-/// RLC acceptance test over already-parsed items:
-///   sum_i z_i*s_i * B - sum_i z_i * R_i - sum_i z_i*e_i * P_i == identity.
-bool rlc_accepts(const std::vector<ParsedSig>& parsed,
-                 const std::vector<std::size_t>& idx, const ScalarBits& bits) {
-    const U256& order = group_order();
-    U256 base_coeff{};
-    std::vector<std::pair<U256, Point>> terms;
-    terms.reserve(idx.size() * 2 + 1);
-    for (const std::size_t i : idx) {
-        const ParsedSig& p = parsed[i];
-        const U256 z = draw_coefficient(bits);
-        base_coeff = add_mod(base_coeff, mul_mod(z, p.s, order), order);
-        terms.emplace_back(z, point_neg(p.big_r));
-        terms.emplace_back(mul_mod(z, p.e, order), point_neg(p.pub));
-    }
-    terms.emplace_back(base_coeff, base_point());
-    return point_equal(multi_scalar_mul(terms), Point::identity());
-}
-
-/// Recursive bisection: accept whole sub-batches via one RLC equation,
-/// split rejected ones, and settle single items with a plain verify.
-void bisect_verify(const std::vector<ParsedSig>& parsed,
-                   const std::vector<std::size_t>& idx, const ScalarBits& bits,
-                   std::vector<bool>& out) {
-    if (idx.empty()) return;
-    if (idx.size() == 1) {
-        out[idx.front()] = verify_parsed(parsed[idx.front()]);
-        return;
-    }
-    if (rlc_accepts(parsed, idx, bits)) {
-        for (const std::size_t i : idx) out[i] = true;
-        g_batch_verified.add(idx.size());
-        return;
-    }
-    const auto mid =
-        idx.begin() + static_cast<std::ptrdiff_t>(idx.size() / 2);
-    bisect_verify(parsed, {idx.begin(), mid}, bits, out);
-    bisect_verify(parsed, {mid, idx.end()}, bits, out);
-}
-
-}  // namespace
-
-bool batch_verify(const std::vector<BatchItem>& items, const ScalarBits& bits) {
-    std::vector<ParsedSig> parsed;
-    parsed.reserve(items.size());
-    for (const BatchItem& item : items) {
-        auto p = parse_signature(BytesView(item.public_key),
-                                 BytesView(item.msg), item.sig);
-        if (!p) return false;  // Malformed: fails individually, fails here.
-        parsed.push_back(std::move(*p));
-    }
-    if (parsed.empty()) return true;
-    // A single item consumes no randomness and is a plain verification.
-    if (parsed.size() == 1) return verify_parsed(parsed.front());
-    std::vector<std::size_t> idx(parsed.size());
-    for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
-    if (!rlc_accepts(parsed, idx, bits)) return false;
-    g_batch_verified.add(parsed.size());
-    return true;
-}
-
-std::vector<bool> batch_verify_each(const std::vector<BatchItem>& items,
-                                    const ScalarBits& bits) {
-    std::vector<bool> out(items.size(), false);
-    std::vector<ParsedSig> parsed(items.size());
-    std::vector<std::size_t> idx;  // structurally valid items only
-    idx.reserve(items.size());
-    for (std::size_t i = 0; i < items.size(); ++i) {
-        auto p = parse_signature(BytesView(items[i].public_key),
-                                 BytesView(items[i].msg), items[i].sig);
-        if (p) {
-            parsed[i] = std::move(*p);
-            idx.push_back(i);
-        }
-    }
-    bisect_verify(parsed, idx, bits, out);
-    return out;
 }
 
 }  // namespace platoon::crypto

@@ -13,9 +13,7 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <optional>
-#include <vector>
 
 #include "crypto/bytes.hpp"
 #include "crypto/u256.hpp"
@@ -80,10 +78,6 @@ struct Point {
 /// k*P via a fixed 4-bit window: 15-entry table of small multiples, then
 /// 4 doublings + at most one addition per window.
 [[nodiscard]] Point scalar_mul_windowed(const U256& k, const Point& p);
-/// Sum of k_i * P_i via Straus interleaving (4-bit windows, one shared
-/// doubling chain); the workhorse of batch verification.
-[[nodiscard]] Point multi_scalar_mul(
-    const std::vector<std::pair<U256, Point>>& terms);
 [[nodiscard]] bool point_equal(const Point& p, const Point& q);
 /// Affine (x, y) as 64 bytes (32 LE bytes each); used as the public-key
 /// wire format (uncompressed; the simulator doesn't need point compression).
@@ -124,41 +118,5 @@ struct Signature {
 /// derive the same 32-byte key.
 [[nodiscard]] Bytes dh_shared_key(const U256& my_secret,
                                   BytesView their_public_bytes);
-
-/// --- batch verification ----------------------------------------------------
-
-/// One (public key, message, signature) triple for batch verification. The
-/// buffers are owned copies so batches can outlive the envelopes they were
-/// collected from.
-struct BatchItem {
-    Bytes public_key;  ///< 64-byte uncompressed point.
-    Bytes msg;
-    Signature sig;
-};
-
-/// Source of random 64-bit words for the linear-combination coefficients.
-/// The crypto layer may not depend on sim, so callers wrap a named
-/// sim::RandomStream (e.g. "network.batchverify") in this callback; tests
-/// may supply any deterministic source.
-using ScalarBits = std::function<std::uint64_t()>;
-
-/// True iff every signature in the batch verifies. Checks the single
-/// random-linear-combination equation
-///   sum_i z_i * (s_i*B - R_i - e_i*P_i) == identity
-/// with independent odd 128-bit coefficients z_i, evaluated as one
-/// multi-scalar multiplication. Malformed items (bad point encodings,
-/// s >= L) fail the batch outright. An odd z_i < L makes a false accept of
-/// a single bad item impossible (z_i annihilates no nonzero point); for
-/// several bad items the false-accept probability is ~2^-128 against the
-/// simulator's non-adaptive forgers. An empty batch is vacuously true.
-[[nodiscard]] bool batch_verify(const std::vector<BatchItem>& items,
-                                const ScalarBits& bits);
-
-/// Per-item verdicts, each identical to crypto::verify on that item. Runs
-/// the RLC check first; on failure bisects, re-testing each half as a
-/// sub-batch, down to plain verify at single items — so a rejected batch
-/// pinpoints exactly the forged indices.
-[[nodiscard]] std::vector<bool> batch_verify_each(
-    const std::vector<BatchItem>& items, const ScalarBits& bits);
 
 }  // namespace platoon::crypto

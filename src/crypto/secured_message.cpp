@@ -1,8 +1,6 @@
 #include "crypto/secured_message.hpp"
 
 #include <cmath>
-#include <cstring>
-#include <vector>
 
 #include "crypto/sha256.hpp"
 #include "base/assert.hpp"
@@ -22,6 +20,8 @@ obs::Counter g_verify_fail{"crypto.verify.fail"};
 /// crypto.verify.ok + crypto.verify.cached equals what crypto.verify.ok
 /// was before memoization existed.
 obs::Counter g_verify_cached{"crypto.verify.cached"};
+/// Always 0: kept registered only because perfbench/run.py reads the key.
+obs::Counter g_verify_batched{"crypto.verify.batched"};
 
 using FactKey = VerdictCache::Key;
 
@@ -67,31 +67,6 @@ FactKey cert_fact_key(BytesView ca_public_key, const Certificate& cert) {
     h.update(BytesView(tbs));
     h.update(BytesView(cert.ca_signature));
     return h.finish();
-}
-
-/// Marker fact for unprotected envelopes under a kNone policy. The verdict
-/// is payload-independent there, so the key packs the header fields
-/// directly -- no hashing on the baseline hot path. The leading domain byte
-/// keeps packed keys disjoint from digest keys (which are SHA-256 outputs).
-FactKey accept_fact_key(const Envelope& envelope) {
-    FactKey k{};
-    k[0] = 0xA1;
-    k[1] = static_cast<std::uint8_t>(envelope.mode);
-    k[2] = envelope.encrypted ? 1 : 0;
-    std::size_t at = 3;
-    for (int i = 0; i < 4; ++i)
-        k[at++] = static_cast<std::uint8_t>(envelope.sender >> (8 * i));
-    for (int i = 0; i < 8; ++i)
-        k[at++] = static_cast<std::uint8_t>(envelope.seq >> (8 * i));
-    std::uint64_t ts_bits;
-    static_assert(sizeof(ts_bits) == sizeof(envelope.timestamp));
-    std::memcpy(&ts_bits, &envelope.timestamp, sizeof(ts_bits));
-    for (int i = 0; i < 8; ++i)
-        k[at++] = static_cast<std::uint8_t>(ts_bits >> (8 * i));
-    const std::uint64_t payload_size = envelope.payload.size();
-    for (int i = 0; i < 8; ++i)
-        k[at++] = static_cast<std::uint8_t>(payload_size >> (8 * i));
-    return k;
 }
 
 }  // namespace
@@ -248,6 +223,10 @@ Envelope MessageProtection::protect(std::uint32_t sender, BytesView payload,
 
 VerifyResult MessageProtection::verify_and_open(Envelope& envelope,
                                                 sim::SimTime now) {
+    // Nothing to check and nothing to decrypt: no crypto ran, so nothing is
+    // timed or counted as crypto.verify.
+    if (config_.mode == AuthMode::kNone && !envelope.encrypted)
+        return VerifyResult::kOk;
     const obs::ScopedTimer timer("crypto.verify");
     CacheProbe probe;
     const VerifyResult result = verify_and_open_impl(envelope, now, probe);
@@ -266,18 +245,6 @@ VerifyResult MessageProtection::verify_and_open(Envelope& envelope,
 VerifyResult MessageProtection::verify_and_open_impl(Envelope& envelope,
                                                      sim::SimTime now,
                                                      CacheProbe& probe) {
-    if (config_.mode == AuthMode::kNone && cache_ != nullptr) {
-        // Pure bookkeeping: an unprotected policy has no crypto to share,
-        // but the marker fact still measures the delivery fan-out -- the
-        // first receiver of an envelope counts crypto.verify.ok, the rest
-        // crypto.verify.cached. The verdict never reads the fact.
-        ++probe.consulted;
-        if (cache_->lookup(accept_fact_key(envelope)).has_value()) {
-            ++probe.hits;
-        } else {
-            cache_->store(accept_fact_key(envelope), true);
-        }
-    }
     if (config_.mode != AuthMode::kNone) {
         // A signature is acceptable under any policy that demands
         // authentication (it is strictly stronger than a MAC) -- RSUs sign
@@ -393,52 +360,6 @@ VerifyResult MessageProtection::verify_and_open_impl(Envelope& envelope,
         envelope.encrypted = false;
     }
     return VerifyResult::kOk;
-}
-
-void prewarm_signature_verdicts(const Envelope& envelope,
-                                BytesView ca_public_key, VerdictCache& cache,
-                                const ScalarBits& scalar_bits) {
-    if (envelope.mode != AuthMode::kSignature || !envelope.cert ||
-        ca_public_key.empty())
-        return;
-    const Certificate& cert = *envelope.cert;
-    const FactKey cert_key = cert_fact_key(ca_public_key, cert);
-    const FactKey sig_key =
-        sig_fact_key(BytesView(cert.public_key), envelope);
-    const auto cert_known = cache.lookup(cert_key);
-    const auto sig_known = cache.lookup(sig_key);
-    if (cert_known.has_value() && sig_known.has_value()) return;
-    if (!cert_known.has_value() && !sig_known.has_value()) {
-        // Both facts unknown (typically the first beacon from a sender):
-        // settle the certificate chain and the message signature with one
-        // batch equation; bisection recovers exact per-item verdicts when
-        // either is forged, so the cached booleans match plain verify.
-        std::vector<BatchItem> batch(2);
-        batch[0].public_key = Bytes(ca_public_key.begin(),
-                                    ca_public_key.end());
-        batch[0].msg = cert.tbs();
-        batch[0].sig = Signature{cert.ca_signature};
-        batch[1].public_key = cert.public_key;
-        batch[1].msg = envelope.authenticated_bytes();
-        batch[1].sig = Signature{envelope.tag};
-        const std::vector<bool> verdicts =
-            batch_verify_each(batch, scalar_bits);
-        cache.store(cert_key, verdicts[0]);
-        cache.store(sig_key, verdicts[1]);
-        return;
-    }
-    // Exactly one fact missing (steady state: known cert, fresh message):
-    // a single verification, counted like the receiver-side one it replaces.
-    g_sig_verifies.inc();
-    if (!cert_known.has_value()) {
-        cache.store(cert_key, verify(ca_public_key, cert.tbs(),
-                                     Signature{cert.ca_signature}));
-    } else {
-        cache.store(sig_key,
-                    verify(BytesView(cert.public_key),
-                           envelope.authenticated_bytes(),
-                           Signature{envelope.tag}));
-    }
 }
 
 }  // namespace platoon::crypto

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -137,7 +136,9 @@ public:
 
     /// --- receiving --------------------------------------------------------
     /// Verifies and (when encrypted) decrypts in place. On kOk,
-    /// envelope.payload holds the plaintext.
+    /// envelope.payload holds the plaintext. Under a kNone policy an
+    /// unencrypted envelope is accepted at once: no cache lookup, no
+    /// crypto.verify timer, no crypto.verify.* count.
     VerifyResult verify_and_open(Envelope& envelope, sim::SimTime now);
 
     [[nodiscard]] std::uint64_t next_seq() const { return next_seq_; }
@@ -184,18 +185,5 @@ private:
     std::uint64_t next_seq_ = 1;
     VerdictCache* cache_ = nullptr;  ///< Shared, non-owning; may be null.
 };
-
-/// Pre-computes the receiver-independent facts of a *signed* envelope into
-/// `cache` before a delivery fan-out: when both the certificate fact and the
-/// message-signature fact are unknown, the two checks are settled together
-/// by one batch-verification equation (crypto.verify.batched); a single
-/// missing fact is verified individually. Never changes a verdict -- every
-/// receiver reads the same booleans it would have computed itself. Non-
-/// signature envelopes are untouched (the first receiver populates the MAC
-/// fact instead). `scalar_bits` feeds the batch coefficients and is drawn
-/// from only when a batch actually runs.
-void prewarm_signature_verdicts(const Envelope& envelope,
-                                BytesView ca_public_key, VerdictCache& cache,
-                                const ScalarBits& scalar_bits);
 
 }  // namespace platoon::crypto

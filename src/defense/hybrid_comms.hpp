@@ -20,7 +20,7 @@
 
 #include "net/channel.hpp"
 #include "net/message.hpp"
-#include "sim/types.hpp"
+#include "base/types.hpp"
 
 namespace platoon::security {
 

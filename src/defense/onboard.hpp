@@ -6,7 +6,7 @@
 #include <optional>
 
 #include "sim/random.hpp"
-#include "sim/types.hpp"
+#include "base/types.hpp"
 
 namespace platoon::security {
 

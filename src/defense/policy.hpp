@@ -5,7 +5,7 @@
 
 #include "crypto/secured_message.hpp"
 #include "net/channel.hpp"
-#include "sim/types.hpp"
+#include "base/types.hpp"
 
 namespace platoon::security {
 

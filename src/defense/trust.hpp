@@ -13,7 +13,7 @@
 #include <cstdint>
 #include <unordered_map>
 
-#include "sim/types.hpp"
+#include "base/types.hpp"
 
 namespace platoon::security {
 

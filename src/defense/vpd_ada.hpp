@@ -12,7 +12,7 @@
 #include <cstdint>
 #include <optional>
 
-#include "sim/types.hpp"
+#include "base/types.hpp"
 
 namespace platoon::security {
 

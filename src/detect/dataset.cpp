@@ -7,7 +7,7 @@
 #include <sstream>
 
 #include "core/taxonomy.hpp"
-#include "sim/assert.hpp"
+#include "base/assert.hpp"
 
 namespace platoon::detect {
 

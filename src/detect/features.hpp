@@ -11,7 +11,7 @@
 #include <unordered_map>
 
 #include "net/message.hpp"
-#include "sim/types.hpp"
+#include "base/types.hpp"
 
 namespace platoon::detect {
 

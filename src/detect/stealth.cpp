@@ -7,7 +7,7 @@
 #include "detect/bank.hpp"
 #include "detect/harness.hpp"
 #include "obs/counters.hpp"
-#include "sim/assert.hpp"
+#include "base/assert.hpp"
 
 namespace platoon::detect {
 

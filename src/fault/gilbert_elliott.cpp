@@ -1,6 +1,6 @@
 #include "fault/gilbert_elliott.hpp"
 
-#include "sim/assert.hpp"
+#include "base/assert.hpp"
 
 namespace platoon::fault {
 

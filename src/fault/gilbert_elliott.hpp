@@ -11,7 +11,7 @@
 
 #include "fault/plan.hpp"
 #include "sim/random.hpp"
-#include "sim/types.hpp"
+#include "base/types.hpp"
 
 namespace platoon::fault {
 

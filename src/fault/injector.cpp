@@ -3,7 +3,7 @@
 #include <string>
 
 #include "obs/counters.hpp"
-#include "sim/assert.hpp"
+#include "base/assert.hpp"
 
 namespace platoon::fault {
 

@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "net/channel.hpp"
-#include "sim/types.hpp"
+#include "base/types.hpp"
 
 namespace platoon::fault {
 

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <limits>
 
-#include "sim/assert.hpp"
+#include "base/assert.hpp"
 
 namespace platoon::net {
 

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "sim/random.hpp"
-#include "sim/types.hpp"
+#include "base/types.hpp"
 
 namespace platoon::net {
 

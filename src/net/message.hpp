@@ -14,7 +14,7 @@
 #include <string>
 
 #include "crypto/bytes.hpp"
-#include "sim/types.hpp"
+#include "base/types.hpp"
 
 namespace platoon::net {
 

@@ -6,7 +6,7 @@
 
 #include "obs/counters.hpp"
 #include "obs/timer.hpp"
-#include "sim/assert.hpp"
+#include "base/assert.hpp"
 #include "sim/logging.hpp"
 
 namespace platoon::net {
@@ -37,7 +37,6 @@ Network::Network(sim::Scheduler& scheduler, Params params, std::uint64_t seed)
       params_(params),
       channel_(params.channel, seed),
       rng_(seed, "network.mac"),
-      batch_rng_(seed, "network.batchverify"),
       brute_force_(params.brute_force_delivery || brute_force_env()) {}
 
 void Network::register_node(sim::NodeId id, PositionFn position,
@@ -241,8 +240,6 @@ void Network::finish_transmission(std::uint32_t slot, std::uint64_t gen) {
 
     const sim::SimTime now = scheduler_.now();
     const double noise_mw = dbm_to_mw(params_.channel.noise_floor_dbm);
-    const std::size_t total_receivers =
-        nodes_.size() - (nodes_.contains(tx.from) ? 1u : 0u);
 
     // Reception candidates, sorted by NodeId (deterministic order; handlers
     // can (un)register nodes, so the set is snapshotted before delivery).
@@ -265,22 +262,13 @@ void Network::finish_transmission(std::uint32_t slot, std::uint64_t gen) {
         // Everyone outside the slack-widened window is guaranteed outside
         // max_range_m at its exact position too (spatial_index.hpp), so the
         // far tail is bulk-counted without sampling positions.
+        const std::size_t total_receivers =
+            nodes_.size() - (nodes_.contains(tx.from) ? 1u : 0u);
         const std::uint64_t far = total_receivers - receivers.size();
         stats_.dropped_range += far;
         g_dropped_range.add(far);
     }
     std::sort(receivers.begin(), receivers.end());
-
-    // Settle receiver-independent signature facts once, before the fan-out,
-    // so each receiver below hits the shared verdict cache. Gated on the
-    // envelope mode here (cheaply) as well as inside the hook: unsigned
-    // traffic must not touch batch_rng_. The gate counts *all* registered
-    // receivers, not just in-range candidates, so both delivery paths draw
-    // from batch_rng_ identically.
-    if (verify_prewarm_ && total_receivers > 1 &&
-        tx.frame.envelope.mode == crypto::AuthMode::kSignature) {
-        verify_prewarm_(tx.frame.envelope, batch_rng_);
-    }
 
     for (const sim::NodeId rx : receivers) {
         const auto it = nodes_.find(rx);

@@ -166,22 +166,6 @@ public:
                                            Band band, sim::SimTime now)>;
     void set_fault_loss(FaultLossFn fn) { fault_loss_ = std::move(fn); }
 
-    /// --- verification prewarm --------------------------------------------
-    /// Hook installed by the scenario layer and invoked once per *signed*
-    /// broadcast just before the per-receiver delivery loop (RF bands only;
-    /// VLC relays bypass it). It batch-verifies the envelope's receiver-
-    /// independent facts into the shared VerdictCache so the fan-out pays
-    /// one batched check instead of N individual ones. The named
-    /// RandomStream ("network.batchverify") supplies the batch coefficients;
-    /// it is drawn from only for signed fan-outs, so unsigned scenarios are
-    /// bit-identical with or without the hook. Prewarming affects counters
-    /// and cost, never verdicts. Pass nullptr to uninstall.
-    using VerifyPrewarmFn =
-        std::function<void(const crypto::Envelope&, sim::RandomStream&)>;
-    void set_verify_prewarm(VerifyPrewarmFn fn) {
-        verify_prewarm_ = std::move(fn);
-    }
-
     /// Contention window for MAC backoff `attempt` (binary exponential,
     /// capped at 2^5 doublings of cw_min+1). The backoff slot count is drawn
     /// uniformly from [0, contention_window(attempt) - 1] -- uniform_int's
@@ -248,7 +232,6 @@ private:
     Params params_;
     Channel channel_;
     sim::RandomStream rng_;
-    sim::RandomStream batch_rng_;  ///< Coefficients for batch verification.
     std::unordered_map<sim::NodeId, Node> nodes_;
     /// Transmission arena: stable slots + LIFO free list. active_slots_
     /// holds live slots in insertion order -- interference sums iterate it,
@@ -262,7 +245,6 @@ private:
     std::unordered_map<int, JammerConfig> jammers_;
     int next_jammer_id_ = 1;
     FaultLossFn fault_loss_;
-    VerifyPrewarmFn verify_prewarm_;
     NetworkStats stats_;
 };
 

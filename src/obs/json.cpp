@@ -1,6 +1,7 @@
 #include "obs/json.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 
 namespace platoon::obs {
@@ -102,15 +103,17 @@ void escape_to(std::string& out, const std::string& s) {
 }
 
 void number_to(std::string& out, double v) {
+    // JSON has no NaN or infinity literal: a non-finite double is null.
+    if (!std::isfinite(v)) {
+        out += "null";
+        return;
+    }
     char buf[32];
     const auto res = std::to_chars(buf, buf + sizeof buf, v);
     out.append(buf, res.ptr);
     // Ensure a double never re-parses as an integer (schema stability).
     const std::string_view written(buf, static_cast<std::size_t>(res.ptr - buf));
-    if (written.find_first_of(".eE") == std::string_view::npos &&
-        written != "inf" && written != "-inf" && written != "nan") {
-        out += ".0";
-    }
+    if (written.find_first_of(".eE") == std::string_view::npos) out += ".0";
 }
 
 }  // namespace

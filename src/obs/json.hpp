@@ -60,6 +60,8 @@ public:
 
     /// Deterministic serialization: sorted keys (std::map), fixed 2-space
     /// indentation, shortest-round-trip doubles, "\uXXXX" for control chars.
+    /// A NaN or infinite double is written as null (JSON has no literal for
+    /// it), so it reads back as null, not as a number.
     [[nodiscard]] std::string dump(int indent = 2) const;
 
     /// Strict-enough parser for our own artifacts (objects, arrays,

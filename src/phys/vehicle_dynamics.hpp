@@ -13,7 +13,7 @@
 
 #include <string>
 
-#include "sim/types.hpp"
+#include "base/types.hpp"
 
 namespace platoon::phys {
 

@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "crypto/chacha20.hpp"
-#include "sim/assert.hpp"
+#include "base/assert.hpp"
 #include "sim/logging.hpp"
 
 namespace platoon::rsu {

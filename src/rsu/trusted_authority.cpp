@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "crypto/sha256.hpp"
-#include "sim/assert.hpp"
+#include "base/assert.hpp"
 
 namespace platoon::rsu {
 

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "crypto/cert.hpp"
-#include "sim/types.hpp"
+#include "base/types.hpp"
 
 namespace platoon::rsu {
 

@@ -1,6 +1,6 @@
 #include "security/attacks/attack.hpp"
 
-#include "sim/assert.hpp"
+#include "base/assert.hpp"
 
 namespace platoon::security {
 

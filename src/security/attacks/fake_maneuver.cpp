@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "sim/assert.hpp"
+#include "base/assert.hpp"
 
 namespace platoon::security {
 

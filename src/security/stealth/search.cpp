@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "obs/counters.hpp"
-#include "sim/assert.hpp"
+#include "base/assert.hpp"
 #include "sim/random.hpp"
 
 namespace platoon::security::stealth {

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "sim/assert.hpp"
+#include "base/assert.hpp"
 
 namespace platoon::sim {
 

@@ -4,7 +4,7 @@
 
 #include "obs/counters.hpp"
 #include "obs/timer.hpp"
-#include "sim/assert.hpp"
+#include "base/assert.hpp"
 
 namespace platoon::sim {
 

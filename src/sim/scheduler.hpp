@@ -14,7 +14,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "sim/types.hpp"
+#include "base/types.hpp"
 
 namespace platoon::sim {
 

@@ -7,7 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/types.hpp"
+#include "base/types.hpp"
 
 namespace platoon::sim {
 

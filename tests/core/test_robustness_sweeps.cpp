@@ -47,6 +47,11 @@ struct AuthCase {
     const char* name;
 };
 
+// Without this gtest prints the raw object bytes (the `name` pointer and the
+// struct padding), so ctest's discovered test names changed with every
+// build and every load address.
+void PrintTo(const AuthCase& param, std::ostream* os) { *os << param.name; }
+
 class AuthModeSweep : public ::testing::TestWithParam<AuthCase> {};
 
 TEST_P(AuthModeSweep, CleanPlatoonUnaffectedByProtection) {
