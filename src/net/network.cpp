@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "obs/counters.hpp"
 #include "obs/timer.hpp"
@@ -14,11 +13,6 @@ namespace platoon::net {
 namespace {
 double dbm_to_mw(double dbm) { return std::pow(10.0, dbm / 10.0); }
 double mw_to_dbm(double mw) { return 10.0 * std::log10(std::max(mw, 1e-15)); }
-
-bool brute_force_env() {
-    const char* v = std::getenv("PLATOON_BRUTE_FORCE_NET");
-    return v != nullptr && v[0] == '1';
-}
 
 obs::Counter g_sent{"net.sent"};
 obs::Counter g_sent_forged{"net.sent_forged"};
@@ -36,8 +30,7 @@ Network::Network(sim::Scheduler& scheduler, Params params, std::uint64_t seed)
     : scheduler_(scheduler),
       params_(params),
       channel_(params.channel, seed),
-      rng_(seed, "network.mac"),
-      brute_force_(params.brute_force_delivery || brute_force_env()) {}
+      rng_(seed, "network.mac") {}
 
 void Network::register_node(sim::NodeId id, PositionFn position,
                             ReceiveHandler on_receive) {
@@ -244,7 +237,7 @@ void Network::finish_transmission(std::uint32_t slot, std::uint64_t gen) {
     // Reception candidates, sorted by NodeId (deterministic order; handlers
     // can (un)register nodes, so the set is snapshotted before delivery).
     std::vector<sim::NodeId> receivers;
-    if (brute_force_) {
+    if (params_.brute_force_delivery) {
         receivers.reserve(nodes_.size());
         for (const auto& [id, node] : nodes_) {
             if (id != tx.from) receivers.push_back(id);
@@ -346,7 +339,7 @@ std::pair<sim::NodeId, sim::NodeId> Network::vlc_targets(sim::NodeId from) {
     // widened past the strict-< reach (vlc_range_m + 1.0) by the slack, so
     // any node that could win the nearest-neighbor scan is inside it.
     std::vector<std::pair<sim::NodeId, double>> cands;
-    if (brute_force_) {
+    if (params_.brute_force_delivery) {
         for (const auto& [id, node] : nodes_) {
             if (id == from || !node.traits.vlc) continue;
             cands.emplace_back(id, node.position());

@@ -1,6 +1,5 @@
 // Pins the spatial-index delivery path bit-identical to the O(all-pairs)
-// brute-force reference scan (Network::Params::brute_force_delivery /
-// PLATOON_BRUTE_FORCE_NET=1).
+// brute-force reference scan (Network::Params::brute_force_delivery).
 //
 // The index is allowed to change HOW candidate receivers are found, never
 // WHAT is observable: reception sets, per-frame SINR bits, obs counters and
@@ -14,7 +13,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
 #include <tuple>
 #include <vector>
 
@@ -175,16 +173,6 @@ TEST(SpatialDelivery, PropertyBruteForceAndIndexAreByteIdentical) {
     }
 }
 
-TEST(SpatialDelivery, EnvVarForcesBruteForce) {
-    ::setenv("PLATOON_BRUTE_FORCE_NET", "1", 1);
-    Scheduler scheduler;
-    pn::Network forced(scheduler, {}, 1);
-    ::unsetenv("PLATOON_BRUTE_FORCE_NET");
-    pn::Network normal(scheduler, {}, 1);
-    EXPECT_TRUE(forced.brute_force_delivery());
-    EXPECT_FALSE(normal.brute_force_delivery());
-}
-
 // --- VLC ------------------------------------------------------------------
 
 struct VlcFixture : ::testing::Test {
@@ -279,9 +267,9 @@ TEST(SpatialDelivery, CorridorScenarioMetricsIdenticalUnderBruteForce) {
     // -- every mean and RMS in there folds thousands of per-frame SINR
     // draws, so this catches divergence anywhere in the stack.
     auto run = [](bool brute) {
-        if (brute) ::setenv("PLATOON_BRUTE_FORCE_NET", "1", 1);
-        pc::Scenario scenario(corridor_config());
-        if (brute) ::unsetenv("PLATOON_BRUTE_FORCE_NET");
+        pc::ScenarioConfig config = corridor_config();
+        config.network.brute_force_delivery = brute;
+        pc::Scenario scenario(config);
         scenario.run_until(8.0);
         return scenario.summarize().as_map();
     };
