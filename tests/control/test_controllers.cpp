@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <vector>
 
 #include "control/controller.hpp"
@@ -362,6 +363,12 @@ struct ControllerCase {
     ct::ControllerType type;
     double initial_gap;
 };
+
+// Without this gtest prints the raw object bytes, padding included, so
+// ctest's discovered test names could change from build to build.
+void PrintTo(const ControllerCase& param, std::ostream* os) {
+    *os << ct::to_string(param.type);
+}
 
 class ControllerSweep : public ::testing::TestWithParam<ControllerCase> {};
 
